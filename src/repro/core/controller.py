@@ -66,7 +66,6 @@ class TraceController:
         self.profiler.signal_sink = self.cache.on_signal
         self.optimizer = None
         self._run_compiled = None
-        self._codegen = False
         self._linker = None
         # The last trace exit (trace, blocks executed) — the linker's
         # edge source when the very next dispatch is another trace.
@@ -82,11 +81,9 @@ class TraceController:
             # Imported lazily: the optimizer is an optional layer.
             from ..opt import TraceOptimizer, run_compiled
             self.optimizer = TraceOptimizer(
-                backend=self.config.compile_backend,
                 compile_threshold=self.config.compile_threshold,
                 bus=self._bus)
             self._run_compiled = run_compiled
-            self._codegen = self.optimizer.codecache is not None
             # When the cache unlinks a trace, drop its compiled forms.
             self.cache.invalidation_sink = self.optimizer.invalidate
             if self.config.trace_linking:
@@ -229,9 +226,9 @@ class TraceController:
                 # Hot path: an installed specialized function is one
                 # attribute load away; the backend_fn call (lazy
                 # install, threshold check) only runs while the trace
-                # is cold.
+                # is cold, which then runs block by block.
                 fn = compiled.py_fn
-                if fn is None and self._codegen:
+                if fn is None:
                     fn = optimizer.backend_fn(compiled)
                 if fn is not None:
                     used_codegen = True
@@ -383,12 +380,7 @@ class TraceController:
             stats.traces_compiled = optimizer.stats.traces_compiled
             stats.opt_static_savings = optimizer.stats.static_savings
             stats.opt_dynamic_savings = optimizer.dynamic_savings()
-        else:
-            stats.traces_compiled = 0
-            stats.opt_static_savings = 0
-            stats.opt_dynamic_savings = 0
-        codecache = optimizer.codecache if optimizer is not None else None
-        if codecache is not None:
+            codecache = optimizer.codecache
             cg = codecache.stats
             stats.codegen_traces_compiled = cg.traces_compiled
             stats.codegen_uncompilable = cg.traces_uncompilable
@@ -398,6 +390,9 @@ class TraceController:
             stats.codegen_compile_seconds = cg.compile_seconds
             stats.codegen_side_exits = codecache.side_exits_total()
         else:
+            stats.traces_compiled = 0
+            stats.opt_static_savings = 0
+            stats.opt_dynamic_savings = 0
             stats.codegen_traces_compiled = 0
             stats.codegen_uncompilable = 0
             stats.codegen_cache_hits = 0

@@ -48,7 +48,7 @@ class TraceCache:
         # node key -> set of anchor node keys whose trace contains it.
         self.node_to_anchors: dict[tuple, set[tuple]] = {}
         # Called with each Trace this cache unlinks, so downstream
-        # compilation layers (IR optimizer, codegen backend) can drop
+        # compilation layers (IR optimizer, codegen) can drop
         # their compiled forms of it.
         self.invalidation_sink = None
         # The trace-to-trace linker (repro.core.links), when linking is
@@ -177,7 +177,7 @@ class TraceCache:
     # Multi-iteration superblocks (Ball–Larus path correlation across
     # loop back edges): a trace whose completion re-enters its own
     # anchor is regrown as k back-to-back copies so k iterations run as
-    # one straight-line unit in the compiled backend.
+    # one straight-line unit in generated code.
     SUPERBLOCK_BLOCK_CAP = 512      # hard bound on superblock length
     # Demotion policy: once a superblock has this many entries, a
     # completion rate below DEMOTE_FACTOR of its expectation hands the

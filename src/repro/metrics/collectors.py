@@ -42,11 +42,11 @@ class RunStats:
     traces_compiled: int = 0
     opt_static_savings: int = 0    # instructions removed from trace IR
     opt_dynamic_savings: int = 0   # original instrs skipped at runtime
-    # Template-codegen backend (config.compile_backend == "py").  All
-    # fields stay zeroed when the backend is off, so table builders can
-    # read them unconditionally.
+    # Template codegen of hot traces (config.optimize_traces).  All
+    # fields stay zeroed when the optimizer is off, so table builders
+    # can read them unconditionally.
     codegen_traces_compiled: int = 0   # specialized functions installed
-    codegen_uncompilable: int = 0      # traces the backend declined
+    codegen_uncompilable: int = 0      # traces codegen declined
     codegen_cache_hits: int = 0        # code objects shared by shape
     codegen_cache_misses: int = 0      # distinct shapes compiled
     codegen_source_bytes: int = 0      # generated Python source, total

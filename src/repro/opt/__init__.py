@@ -2,10 +2,10 @@
 
 Flattens cached traces to a guarded linear IR, runs peephole passes
 (goto elimination, constant folding, IINC fusion, push/pop removal)
-and executes the result with block-exact semantics and accounting —
-either interpretively (:func:`run_compiled`, the "ir" backend) or via
-template-compiled specialized Python functions (:mod:`codegen` +
-:mod:`codecache`, the "py" backend).
+and, once a trace is hot, template-compiles the result into a
+specialized Python function (:mod:`codegen` + :mod:`codecache`) with
+block-exact semantics and accounting.  Until then — or when codegen
+declines it — the trace runs block by block (:func:`run_compiled`).
 """
 
 from .codecache import CodeCache, CodegenStats

@@ -23,7 +23,7 @@ from .ir import CompiledTrace
 
 @dataclass(slots=True)
 class CodegenStats:
-    """Aggregate statistics of the template-compilation backend."""
+    """Aggregate statistics of template compilation."""
 
     traces_compiled: int = 0        # specialized functions installed
     traces_uncompilable: int = 0    # declined (no lowering template)
@@ -43,7 +43,7 @@ class CodegenStats:
 
 
 class CodeCache:
-    """Compile-and-instantiate service for the "py" trace backend."""
+    """Compile-and-instantiate service for hot optimized traces."""
 
     # Process-wide memo of compile() results, shared by every cache
     # instance.  Generated source is the full structural identity of a
@@ -72,7 +72,7 @@ class CodeCache:
     def install(self, compiled: CompiledTrace):
         """Compile `compiled` to a specialized function and attach it
         as ``compiled.py_fn``; returns the function, or None when the
-        trace is not lowerable (the IR executor keeps it)."""
+        trace is not lowerable (it keeps running block by block)."""
         bus = self.bus
         serial = getattr(compiled.trace, "serial", None)
         lowered = lower(compiled)

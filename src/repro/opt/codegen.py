@@ -1,10 +1,11 @@
 """Template compilation: flattened trace IR -> specialized Python source.
 
-The IR executor in :mod:`repro.opt.executor` still pays a per-IR-
-instruction ``if/elif`` walk; this module removes it by lowering each
-trace into one straight-line Python function that is ``compile()``d
-once and cached (see :mod:`repro.opt.codecache`).  The generated
-function has the exact ``run_compiled`` contract::
+A hot trace run block by block (:mod:`repro.opt.executor`) pays the
+threaded interpreter's per-instruction ``if/elif`` walk and a block
+boundary per block; this module removes both by lowering each trace
+into one straight-line Python function that is ``compile()``d once and
+cached (see :mod:`repro.opt.codecache`).  The generated function has
+the exact ``run_compiled`` contract::
 
     def trace_fn(machine, frame, stack, locals_):
         ...
@@ -23,7 +24,7 @@ Lowering rules:
   ``(blocks_executed, successor, False)`` — exactly matching
   ``run_compiled``.
 - **Calls, returns, natives and throws** are lowered inline with the
-  exact frame effects of the IR executor: the caller's virtual stack is
+  exact frame effects of the interpreter: the caller's virtual stack is
   flushed to the real operand stack, the ``Frame`` is pushed/popped,
   and the ``stack`` / ``locals_`` bindings are switched to the new top
   frame.  Virtual-call entries, return continuations and throw handlers
@@ -101,7 +102,7 @@ _COND_EXPRS = {
 
 
 class LowerError(Exception):
-    """The trace contains an instruction this backend does not lower."""
+    """The trace contains an instruction codegen does not lower."""
 
 
 @dataclass(slots=True)
@@ -267,8 +268,8 @@ class _Emitter:
 
 def lower(compiled: CompiledTrace) -> LoweredTrace | None:
     """Lower `compiled` to Python source, or None when the trace
-    contains an instruction this backend has no template for (the IR
-    executor keeps those)."""
+    contains an instruction codegen has no template for (such a trace
+    keeps running block by block)."""
     try:
         return _lower(compiled)
     except LowerError:
@@ -300,7 +301,7 @@ def _lower(compiled: CompiledTrace) -> LoweredTrace:
         elif kind == K_THROW:
             _lower_throw(em, instr, ct, exits, prefix)
         else:
-            raise LowerError(f"kind {kind!r} not lowered by py backend")
+            raise LowerError(f"kind {kind!r} not lowered by codegen")
 
     # Completion: charge the flattened originals, run the final block
     # through the standard executor (it charges its own length).
@@ -465,13 +466,13 @@ def _lower_vcall(em: _Emitter, instr, ct: str, exits: str, prefix) -> None:
 def _lower_ret(em: _Emitter, instr, ct: str, exits: str, prefix) -> None:
     """Return: pop the frame; the continuation block is guarded.  The
     return value re-enters the caller's *virtual* stack (the side exit
-    flushes it, matching the IR executor's eager append)."""
+    flushes it, matching the interpreter's eager append)."""
     value = None
     if instr.op is not Op.RETURN:
         em.need(1)
         value = _capture(em, em.pop())
     # Anything left on the virtual stack belongs to the frame being
-    # discarded; the IR executor leaves it in the popped Frame object,
+    # discarded; the interpreter leaves it in the popped Frame object,
     # which nothing can reach — dropping it is equivalent.
     del em.vstack[:]
     em.uses_frames = True

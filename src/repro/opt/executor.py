@@ -1,14 +1,12 @@
-"""Executor for optimized (flattened) traces.
+"""Block-by-block execution of an optimized trace that has no
+generated function yet.
 
-Runs the guarded linear IR against the live machine.  Semantics are
-identical to block-by-block execution of the same trace:
-
-- simple instructions behave exactly as in the threaded interpreter,
-- a failed guard side-exits with the same machine state and successor
-  block the unoptimized trace would have produced,
-- `machine.instr_count` advances by each instruction's *weight*, so
-  instruction accounting (coverage, step limits) matches unoptimized
-  runs exactly.
+A trace below ``compile_threshold`` (or one codegen declines) runs its
+original blocks through the threaded interpreter: a trace's meaning is
+its blocks' semantics, so no second executor for the guarded IR is
+needed.  The optimizer record's counters are kept as the generated code
+keeps them, so hotness (``executions``) and dynamic savings
+(``executions - guard_failures``) do not depend on which path ran.
 
 Returns ``(blocks_executed, successor_block, completed)`` with the same
 meaning as the controller's plain trace dispatch.
@@ -16,341 +14,29 @@ meaning as the controller's plain trace dispatch.
 
 from __future__ import annotations
 
-from ..jvm.bytecode import Op
-from ..jvm.errors import StepLimitExceeded, VMRuntimeError
-from ..jvm.frame import Frame
-from ..jvm.heap import ArrayRef, ObjRef
-from ..jvm.threaded import _throw, execute_block
-from ..jvm.values import (fcmp, java_f2i, java_fdiv, java_idiv,
-                          java_irem, java_ishl, java_ishr, java_iushr,
-                          wrap_int)
-from .ir import (CompiledTrace, K_CALL, K_GUARD_COND, K_GUARD_SWITCH,
-                 K_NATIVE, K_RET, K_SIMPLE, K_THROW, K_VCALL)
-
-_NO_VALUE = object()
-
-
-def _cond_taken(op: Op, stack: list) -> bool:
-    """Evaluate a conditional terminator exactly as the threaded
-    interpreter would; pops the same operands."""
-    if op is Op.IF_ICMPLT:
-        b = stack.pop()
-        return stack.pop() < b
-    if op is Op.IF_ICMPGE:
-        b = stack.pop()
-        return stack.pop() >= b
-    if op is Op.IF_ICMPEQ:
-        b = stack.pop()
-        return stack.pop() == b
-    if op is Op.IF_ICMPNE:
-        b = stack.pop()
-        return stack.pop() != b
-    if op is Op.IF_ICMPLE:
-        b = stack.pop()
-        return stack.pop() <= b
-    if op is Op.IF_ICMPGT:
-        b = stack.pop()
-        return stack.pop() > b
-    if op is Op.IFEQ:
-        return stack.pop() == 0
-    if op is Op.IFNE:
-        return stack.pop() != 0
-    if op is Op.IFLT:
-        return stack.pop() < 0
-    if op is Op.IFLE:
-        return stack.pop() <= 0
-    if op is Op.IFGT:
-        return stack.pop() > 0
-    if op is Op.IFGE:
-        return stack.pop() >= 0
-    if op is Op.IF_ACMPEQ:
-        b = stack.pop()
-        return stack.pop() is b
-    if op is Op.IF_ACMPNE:
-        b = stack.pop()
-        return stack.pop() is not b
-    if op is Op.IFNULL:
-        return stack.pop() is None
-    if op is Op.IFNONNULL:
-        return stack.pop() is not None
-    raise VMRuntimeError(f"not a conditional op: {op.name}")
+from ..jvm.threaded import execute_block
+from .ir import CompiledTrace
 
 
 def run_compiled(machine, compiled: CompiledTrace):
-    """Execute the flattened stream + final block; see module docs.
+    """Run `compiled.trace` block by block; see module docs.
 
-    Instruction accounting is *block-exact*: a side exit at block j
-    charges precisely the original instructions of blocks 0..j, so
-    coverage numbers and step limits match unoptimized execution.
+    Leaving the trace for an off-trace successor counts one guard
+    failure; leaving because the program ended does not.
     """
     compiled.executions += 1
-    if machine.instr_count > machine.max_instructions:
-        raise StepLimitExceeded(
-            f"exceeded {machine.max_instructions} instructions")
-    frames = machine.frames
-    frame = frames[-1]
-    stack = frame.stack
-    locals_ = frame.locals
-    trace_len = len(compiled.trace.blocks)
-    prefix = compiled.block_weight_prefix
-
-    for instr in compiled.instrs:
-        kind = instr.kind
-
-        if kind == K_SIMPLE:
-            op = instr.op
-            if op is Op.ILOAD or op is Op.FLOAD or op is Op.ALOAD:
-                stack.append(locals_[instr.a])
-            elif op is Op.ICONST or op is Op.FCONST or op is Op.SCONST:
-                stack.append(instr.a)
-            elif op is Op.ISTORE or op is Op.FSTORE or op is Op.ASTORE:
-                locals_[instr.a] = stack.pop()
-            elif op is Op.IINC:
-                locals_[instr.a] = wrap_int(locals_[instr.a] + instr.b)
-            elif op is Op.IADD:
-                b = stack.pop()
-                stack[-1] = wrap_int(stack[-1] + b)
-            elif op is Op.ISUB:
-                b = stack.pop()
-                stack[-1] = wrap_int(stack[-1] - b)
-            elif op is Op.IMUL:
-                b = stack.pop()
-                stack[-1] = wrap_int(stack[-1] * b)
-            elif op is Op.IDIV:
-                b = stack.pop()
-                stack[-1] = java_idiv(stack[-1], b)
-            elif op is Op.IREM:
-                b = stack.pop()
-                stack[-1] = java_irem(stack[-1], b)
-            elif op is Op.INEG:
-                stack[-1] = wrap_int(-stack[-1])
-            elif op is Op.IAND:
-                b = stack.pop()
-                stack[-1] = stack[-1] & b
-            elif op is Op.IOR:
-                b = stack.pop()
-                stack[-1] = stack[-1] | b
-            elif op is Op.IXOR:
-                b = stack.pop()
-                stack[-1] = stack[-1] ^ b
-            elif op is Op.ISHL:
-                b = stack.pop()
-                stack[-1] = java_ishl(stack[-1], b)
-            elif op is Op.ISHR:
-                b = stack.pop()
-                stack[-1] = java_ishr(stack[-1], b)
-            elif op is Op.IUSHR:
-                b = stack.pop()
-                stack[-1] = java_iushr(stack[-1], b)
-            elif op is Op.IALOAD or op is Op.FALOAD or op is Op.AALOAD:
-                i = stack.pop()
-                arr = stack.pop()
-                if arr is None:
-                    raise VMRuntimeError("array load through null")
-                stack.append(arr.data[arr.check_index(i)])
-            elif op is Op.IASTORE or op is Op.FASTORE \
-                    or op is Op.AASTORE:
-                value = stack.pop()
-                i = stack.pop()
-                arr = stack.pop()
-                if arr is None:
-                    raise VMRuntimeError("array store through null")
-                arr.data[arr.check_index(i)] = value
-            elif op is Op.GETFIELD:
-                obj = stack.pop()
-                if obj is None:
-                    raise VMRuntimeError(f"getfield {instr.a!r} on null")
-                stack.append(obj.fields[instr.a])
-            elif op is Op.PUTFIELD:
-                value = stack.pop()
-                obj = stack.pop()
-                if obj is None:
-                    raise VMRuntimeError(f"putfield {instr.a!r} on null")
-                if instr.a not in obj.fields:
-                    raise VMRuntimeError(
-                        f"no field {instr.a!r} on {obj.rtclass.name}")
-                obj.fields[instr.a] = value
-            elif op is Op.GETSTATIC:
-                owner, field = instr.a
-                stack.append(owner.statics[field])
-            elif op is Op.PUTSTATIC:
-                owner, field = instr.a
-                owner.statics[field] = stack.pop()
-            elif op is Op.FADD:
-                b = stack.pop()
-                stack[-1] = stack[-1] + b
-            elif op is Op.FSUB:
-                b = stack.pop()
-                stack[-1] = stack[-1] - b
-            elif op is Op.FMUL:
-                b = stack.pop()
-                stack[-1] = stack[-1] * b
-            elif op is Op.FDIV:
-                b = stack.pop()
-                stack[-1] = java_fdiv(stack[-1], b)
-            elif op is Op.FNEG:
-                stack[-1] = -stack[-1]
-            elif op is Op.FCMPL:
-                b = stack.pop()
-                stack[-1] = fcmp(stack[-1], b, -1)
-            elif op is Op.FCMPG:
-                b = stack.pop()
-                stack[-1] = fcmp(stack[-1], b, 1)
-            elif op is Op.I2F:
-                stack[-1] = float(stack[-1])
-            elif op is Op.F2I:
-                stack[-1] = java_f2i(stack[-1])
-            elif op is Op.DUP:
-                stack.append(stack[-1])
-            elif op is Op.DUP_X1:
-                stack.insert(-2, stack[-1])
-            elif op is Op.POP:
-                stack.pop()
-            elif op is Op.SWAP:
-                stack[-1], stack[-2] = stack[-2], stack[-1]
-            elif op is Op.ACONST_NULL:
-                stack.append(None)
-            elif op is Op.NEW:
-                stack.append(ObjRef(instr.a))
-            elif op is Op.NEWARRAY:
-                stack.append(ArrayRef(instr.a, stack.pop()))
-            elif op is Op.ARRAYLENGTH:
-                arr = stack.pop()
-                if arr is None:
-                    raise VMRuntimeError("arraylength of null")
-                stack.append(len(arr.data))
-            elif op is Op.INSTANCEOF:
-                obj = stack.pop()
-                stack.append(
-                    1 if isinstance(obj, ObjRef)
-                    and obj.rtclass.is_subclass_of(instr.a) else 0)
-            elif op is Op.NOP:
-                pass
-            else:
-                raise VMRuntimeError(
-                    f"unexpected op in optimized trace: {op.name}")
-            continue
-
-        if kind == K_GUARD_COND:
-            taken = _cond_taken(instr.op, stack)
-            if taken != instr.expect_taken:
-                compiled.guard_failures += 1
-                machine.instr_count += prefix[instr.ordinal + 1]
-                actual = (instr.taken_block if taken
-                          else instr.fall_block)
-                return instr.ordinal + 1, actual, False
-            continue
-
-        if kind == K_CALL:
-            target = instr.a
-            argc = instr.b
-            if argc:
-                args = stack[-argc:]
-                del stack[-argc:]
-            else:
-                args = []
-            if instr.op is Op.INVOKESPECIAL:
-                receiver = stack.pop()
-                if receiver is None:
-                    raise VMRuntimeError(
-                        f"invokespecial {target.qualified_name} on null")
-                args = [receiver] + args
-            frames.append(Frame(target, args, instr.continuation))
-            frame = frames[-1]
-            stack = frame.stack
-            locals_ = frame.locals
-            continue
-
-        if kind == K_VCALL:
-            argc = instr.b
-            if argc:
-                args = stack[-argc:]
-                del stack[-argc:]
-            else:
-                args = []
-            receiver = stack.pop()
-            if receiver is None:
-                raise VMRuntimeError(
-                    f"invokevirtual {instr.a!r} on null receiver")
-            target = receiver.rtclass.vtable.get(instr.a)
-            if target is None:
-                raise VMRuntimeError(
-                    f"no virtual method {instr.a!r} on "
-                    f"{receiver.rtclass.name}")
-            frames.append(Frame(target, [receiver] + args,
-                                instr.continuation))
-            frame = frames[-1]
-            stack = frame.stack
-            locals_ = frame.locals
-            if target.entry_block is not instr.expected:
-                compiled.guard_failures += 1
-                machine.instr_count += prefix[instr.ordinal + 1]
-                return instr.ordinal + 1, target.entry_block, False
-            continue
-
-        if kind == K_RET:
-            op = instr.op
-            value = _NO_VALUE if op is Op.RETURN else stack.pop()
-            popped = frames.pop()
-            if not frames:
-                machine.result = None if value is _NO_VALUE else value
-                machine.instr_count += prefix[instr.ordinal + 1]
-                return instr.ordinal + 1, None, False
-            frame = frames[-1]
-            stack = frame.stack
-            locals_ = frame.locals
-            if value is not _NO_VALUE:
-                stack.append(value)
-            if popped.return_block is not instr.expected:
-                compiled.guard_failures += 1
-                machine.instr_count += prefix[instr.ordinal + 1]
-                return instr.ordinal + 1, popped.return_block, False
-            continue
-
-        if kind == K_NATIVE:
-            native = instr.a
-            argc = instr.b
-            if argc:
-                args = stack[-argc:]
-                del stack[-argc:]
-            else:
-                args = []
-            result = native.fn(machine, args)
-            if native.returns_value:
-                stack.append(result)
-            continue
-
-        if kind == K_GUARD_SWITCH:
-            value = stack.pop()
-            low = instr.a[0]
-            block = instr.switch_block
-            offset = value - low
-            if 0 <= offset < len(block.switch_blocks):
-                actual = block.switch_blocks[offset]
-            else:
-                actual = block.switch_default
-            if actual is not instr.expected:
-                compiled.guard_failures += 1
-                machine.instr_count += prefix[instr.ordinal + 1]
-                return instr.ordinal + 1, actual, False
-            continue
-
-        if kind == K_THROW:
-            handler = _throw(machine, stack.pop(), instr.origin_index)
-            frame = frames[-1]
-            stack = frame.stack
-            locals_ = frame.locals
-            if handler is not instr.expected:
-                compiled.guard_failures += 1
-                machine.instr_count += prefix[instr.ordinal + 1]
-                return instr.ordinal + 1, handler, False
-            continue
-
-        raise VMRuntimeError(f"unknown trace-IR kind {kind!r}")
-
-    # Flattened segment complete: charge all flattened originals, then
-    # run the final block through the standard executor (which charges
-    # its own length).
-    machine.instr_count += compiled.original_instr_count
-    successor = execute_block(machine, compiled.final_block)
-    return trace_len, successor, True
+    blocks = compiled.trace.blocks
+    count = len(blocks)
+    executed = 0
+    current = blocks[0]
+    while True:
+        nxt = execute_block(machine, current)
+        executed += 1
+        if executed == count:
+            return executed, nxt, True
+        if nxt is None:
+            return executed, None, False
+        if nxt is not blocks[executed]:
+            compiled.guard_failures += 1
+            return executed, nxt, False
+        current = nxt

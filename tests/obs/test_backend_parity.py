@@ -1,9 +1,9 @@
-"""The structural event stream is backend-independent.
+"""The structural event stream does not depend on how traces run.
 
 Profiling, trace construction, and cache mutations are driven by block
-dispatch — which backend executes an installed trace must not change
-what the profiler sees.  Codegen events (``codegen.*``) and the
-``vm.run_started`` backend tag are the only permitted differences.
+dispatch — whether an installed trace runs as generated code or block
+by block must not change what the profiler sees.  Codegen events
+(``codegen.*``) are the only permitted differences.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro import VM, Observability
+from repro.check.differential import DIFF_PROFILES
 from repro.lang import compile_source
 
 SOURCE = """
@@ -34,10 +35,14 @@ class Main {
 STRUCTURAL = ("profiler", "cache", "constructor")
 
 
-def observed_run(backend):
+#: A compile threshold no trace reaches: every trace stays cold.
+NEVER = DIFF_PROFILES["cold"].compile_threshold
+
+
+def observed_run(compile_threshold):
     obs = Observability()
     vm = VM(compile_source(SOURCE), obs=obs, start_state_delay=16,
-            optimize_traces=True, compile_backend=backend)
+            optimize_traces=True, compile_threshold=compile_threshold)
     result = vm.run()
     structural = [(e.kind, e.data) for e in obs.events
                   if e.category in STRUCTURAL]
@@ -47,25 +52,28 @@ def observed_run(backend):
 
 @pytest.fixture(scope="module")
 def runs():
-    return {"ir": observed_run("ir"), "py": observed_run("py")}
+    return {"cold": observed_run(NEVER), "py": observed_run(2)}
 
 
 class TestBackendParity:
     def test_results_identical(self, runs):
-        ir_result, py_result = runs["ir"][0], runs["py"][0]
-        assert ir_result.value == py_result.value
-        assert ir_result.stats.total_dispatches \
+        cold_result, py_result = runs["cold"][0], runs["py"][0]
+        assert cold_result.value == py_result.value
+        assert cold_result.stats.total_dispatches \
             == py_result.stats.total_dispatches
+        assert cold_result.stats.codegen_traces_compiled == 0
+        assert py_result.stats.codegen_traces_compiled > 0
 
     def test_structural_event_streams_identical(self, runs):
-        ir_events, py_events = runs["ir"][1], runs["py"][1]
-        assert ir_events          # the workload must actually trace
-        assert ir_events == py_events
+        cold_events, py_events = runs["cold"][1], runs["py"][1]
+        assert cold_events        # the workload must actually trace
+        assert cold_events == py_events
 
     def test_codegen_events_only_on_py_backend(self, runs):
-        ir_kinds, py_kinds = runs["ir"][2], runs["py"][2]
+        cold_kinds, py_kinds = runs["cold"][2], runs["py"][2]
         # linked_transfer is emitted by the dispatch trampoline, which
-        # is backend-independent; every other codegen.* kind is py-only.
-        assert not {k for k in ir_kinds if k.startswith("codegen.")
+        # runs either way; every other codegen.* kind needs generated
+        # code.
+        assert not {k for k in cold_kinds if k.startswith("codegen.")
                     and k != "codegen.linked_transfer"}
         assert "codegen.compile" in py_kinds

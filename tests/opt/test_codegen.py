@@ -17,7 +17,7 @@ AGGRESSIVE = dict(start_state_delay=4, decay_period=16)
 def run_py(source: str, compile_threshold: int = 1):
     controller = TraceController(
         compile_source(source),
-        TraceCacheConfig(optimize_traces=True, compile_backend="py",
+        TraceCacheConfig(optimize_traces=True,
                          compile_threshold=compile_threshold,
                          **AGGRESSIVE))
     return controller, controller.run()
@@ -186,7 +186,7 @@ class TestUncompilable:
         assert cache.stats.traces_uncompilable == 1
 
     def test_backend_fn_falls_back_forever(self):
-        optimizer = TraceOptimizer(backend="py", compile_threshold=1)
+        optimizer = TraceOptimizer(compile_threshold=1)
         compiled = self._bogus_trace()
         compiled.executions = 10
         assert optimizer.backend_fn(compiled) is None

@@ -4,8 +4,9 @@ Every check feeds a mini-Java program through
 :func:`repro.check.assert_equivalent`, which runs the switch
 interpreter (reference), the threaded interpreter, and the trace
 controller under all :data:`~repro.check.differential.DIFF_PROFILES` —
-including the ``optimize_traces=False`` profiles (``plain``/``chop``)
-and both compiled backends (``ir``/``py``) — and requires agreement on
+including the ``optimize_traces=False`` profiles (``plain``/``chop``),
+optimized traces that stay cold and run block by block (``cold``) and
+template-compiled traces (``py``) — and requires agreement on
 outcome, value, output, instruction count, and the statics snapshot.
 """
 
@@ -26,13 +27,16 @@ from tests.test_integration import _branchy_program
 class TestProfileCoverage:
     def test_profiles_span_the_backend_matrix(self):
         """The default profile set must keep exercising unoptimized
-        trace dispatch alongside both compile backends."""
+        trace dispatch alongside both ways an optimized trace runs:
+        generated code (compiled on its first dispatch) and the block
+        loop (a threshold no trace reaches)."""
         unoptimized = [n for n, c in DIFF_PROFILES.items()
                        if not c.optimize_traces]
-        backends = {c.compile_backend for c in DIFF_PROFILES.values()
-                    if c.optimize_traces}
+        thresholds = [c.compile_threshold for c in DIFF_PROFILES.values()
+                      if c.optimize_traces]
         assert len(unoptimized) >= 2
-        assert backends == {"ir", "py"}
+        assert 1 in thresholds
+        assert max(thresholds) >= 1 << 62
 
 
 class TestWorkloads:
