@@ -31,6 +31,18 @@ Lowering rules:
   keep their guards (side exits identical to ``run_compiled``).  A
   return value re-enters the *caller's* virtual stack, so it can fuse
   into the continuation without touching the operand stack.
+- **The final block** (``compiled.final_block``, which flattening
+  leaves out) is lowered too, without a guard: whatever successor it
+  picks, the trace has completed.  It first charges the flattened
+  originals plus its own length and makes the step-limit check
+  ``execute_block`` makes on entry; its body then fuses onto the same
+  virtual stack, and its terminator computes the successor directly —
+  both conditional arms, the switch table or default, the callee entry
+  of a pushed frame (the continuation for natives), the caller's
+  return block (``None`` when the entry frame returns), or the
+  handler ``_throw`` unwinds to — and returns
+  ``(len(blocks), successor, True)``.  A compiled trace dispatch thus
+  interprets no block at all.
 
 Per-trace objects (successor blocks, classes, the ``CompiledTrace``
 itself) are never embedded in the source; they are referenced through
@@ -43,10 +55,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..jvm.basicblock import (KIND_COND, KIND_FALL, KIND_GOTO,
+                              KIND_INVOKE, KIND_RETURN, KIND_SWITCH,
+                              KIND_THROW)
 from ..jvm.bytecode import Op
 from ..jvm.errors import StepLimitExceeded, VMRuntimeError
 from ..jvm.frame import Frame
 from ..jvm.heap import ArrayRef, ObjRef
+from ..jvm.intrinsics import NativeMethod
 from ..jvm.threaded import _throw, execute_block
 from ..jvm.values import (INT_MAX, INT_MIN, fcmp, java_f2i, java_fdiv,
                           java_idiv, java_irem, java_ishl, java_ishr,
@@ -69,6 +85,9 @@ HELPERS = {
     "ArrayRef": ArrayRef,
     "VMRuntimeError": VMRuntimeError,
     "StepLimitExceeded": StepLimitExceeded,
+    # Generated code no longer calls the block interpreter; the entry
+    # stays because the layered benchmark (perfbench/layers.py) patches
+    # and restores it here and its tests assert the binding's identity.
     "execute_block": execute_block,
     "Frame": Frame,
     "_throw": _throw,
@@ -303,23 +322,15 @@ def _lower(compiled: CompiledTrace) -> LoweredTrace:
         else:
             raise LowerError(f"kind {kind!r} not lowered by codegen")
 
-    # Completion: charge the flattened originals, run the final block
-    # through the standard executor (it charges its own length).
-    for line in em.flush_lines():
-        em.emit(line)
-    final = em.const(compiled.final_block)
-    em.emit(f"machine.instr_count += {compiled.original_instr_count}")
-    em.emit(f"return {len(compiled.trace.blocks)}, "
-            f"execute_block(machine, {final}), True")
+    _lower_final(em, compiled)
 
-    defaults = ["execute_block=execute_block",
-                "StepLimitExceeded=StepLimitExceeded",
+    defaults = ["StepLimitExceeded=StepLimitExceeded",
                 "EXITS=EXITS",
                 "EXIT_TOTAL=EXIT_TOTAL"]
     defaults += [f"C{i}=C{i}" for i in range(len(em.consts))]
     helper_defaults = sorted(
         name for name in HELPERS
-        if name not in ("execute_block", "StepLimitExceeded")
+        if name != "StepLimitExceeded"
         and any(name in line for line in em.lines))
     defaults += [f"{n}={n}" for n in helper_defaults]
 
@@ -357,17 +368,36 @@ def _side_exit(em: _Emitter, instr, ct: str, exits: str, prefix,
     em.emit(f"return {instr.ordinal + 1}, {successor_expr}, False", indent)
 
 
-def _lower_guard_cond(em: _Emitter, instr, ct: str, exits: str,
-                      prefix) -> None:
-    arity, template = _COND_EXPRS[instr.op]
+def _cond_expr(em: _Emitter, op) -> str:
+    """Pop a conditional branch's operands; returns its taken test."""
+    arity, template = _COND_EXPRS[op]
     em.need(arity)
     if arity == 2:
         b = em.pop()
         a = em.pop()
-        cond = template.format(a=a.expr, b=b.expr)
-    else:
-        a = em.pop()
-        cond = template.format(a=a.expr)
+        return template.format(a=a.expr, b=b.expr)
+    return template.format(a=em.pop().expr)
+
+
+def _switch_target(em: _Emitter, block, low: int) -> str:
+    """Pop a tableswitch operand; returns the temp holding the block
+    the switch selects (a table entry or the default)."""
+    value = em.materialize(em.pop())
+    targets = em.const(block.switch_blocks)
+    default = em.const(block.switch_default)
+    offset = em.temp(f"{value.expr} - {low}")
+    actual = f"t{em._temps}"
+    em._temps += 1
+    em.emit(f"if 0 <= {offset.expr} < {len(block.switch_blocks)}:")
+    em.emit(f"{actual} = {targets}[{offset.expr}]", 2)
+    em.emit("else:")
+    em.emit(f"{actual} = {default}", 2)
+    return actual
+
+
+def _lower_guard_cond(em: _Emitter, instr, ct: str, exits: str,
+                      prefix) -> None:
+    cond = _cond_expr(em, instr.op)
     # Mismatch means the branch went the *other* way, so the side-exit
     # successor is statically known.
     if instr.expect_taken:
@@ -382,19 +412,8 @@ def _lower_guard_cond(em: _Emitter, instr, ct: str, exits: str,
 
 def _lower_guard_switch(em: _Emitter, instr, ct: str, exits: str,
                         prefix) -> None:
-    block = instr.switch_block
-    value = em.materialize(em.pop())
-    low = instr.a[0]
-    targets = em.const(block.switch_blocks)
-    default = em.const(block.switch_default)
+    actual = _switch_target(em, instr.switch_block, instr.a[0])
     expected = em.const(instr.expected)
-    offset = em.temp(f"{value.expr} - {low}")
-    actual = f"t{em._temps}"
-    em._temps += 1
-    em.emit(f"if 0 <= {offset.expr} < {len(block.switch_blocks)}:")
-    em.emit(f"{actual} = {targets}[{offset.expr}]", 2)
-    em.emit("else:")
-    em.emit(f"{actual} = {default}", 2)
     em.emit(f"if {actual} is not {expected}:")
     _side_exit(em, instr, ct, exits, prefix, actual, indent=2)
     em.guard_count += 1
@@ -421,28 +440,29 @@ def _capture(em: _Emitter, value: _Value) -> _Value:
     return value
 
 
-def _lower_call(em: _Emitter, instr) -> None:
-    """INVOKESTATIC / INVOKESPECIAL: deterministic callee, no guard."""
-    entries = _take_args(em, instr.b)
-    target = em.const(instr.a)
+def _push_static_frame(em: _Emitter, op, target, argc: int,
+                       continuation) -> str:
+    """INVOKESTATIC / INVOKESPECIAL: pop the arguments (and receiver),
+    push the callee's ``Frame``; returns the callee's constant slot."""
+    entries = _take_args(em, argc)
+    slot = em.const(target)
     arg_exprs = [e.expr for e in entries]
-    if instr.op is Op.INVOKESPECIAL:
+    if op is Op.INVOKESPECIAL:
         receiver = em.materialize(em.pop())
         em.emit(f"if {receiver.expr} is None:")
         em.emit(f'raise VMRuntimeError(f"invokespecial '
-                f'{{{target}.qualified_name}} on null")', 2)
+                f'{{{slot}.qualified_name}} on null")', 2)
         arg_exprs = [receiver.expr] + arg_exprs
-    em.flush_and_clear()
-    cont = em.const(instr.continuation)
-    em.emit(f"frames.append(Frame({target}, "
-            f"[{', '.join(arg_exprs)}], {cont}))")
-    em.frame_switch()
+    _push_frame(em, slot, arg_exprs, continuation)
+    return slot
 
 
-def _lower_vcall(em: _Emitter, instr, ct: str, exits: str, prefix) -> None:
-    """INVOKEVIRTUAL: vtable dispatch, entry block guarded."""
-    name = instr.a
-    entries = _take_args(em, instr.b)
+def _push_virtual_frame(em: _Emitter, name: str, argc: int,
+                        continuation) -> str:
+    """INVOKEVIRTUAL: pop the arguments and receiver, resolve the
+    callee through the vtable, push its ``Frame``; returns the temp
+    holding the callee."""
+    entries = _take_args(em, argc)
     receiver = em.materialize(em.pop())
     em.emit(f"if {receiver.expr} is None:")
     em.emit(f'raise VMRuntimeError("invokevirtual {name!r} '
@@ -451,15 +471,35 @@ def _lower_vcall(em: _Emitter, instr, ct: str, exits: str, prefix) -> None:
     em.emit(f"if {target.expr} is None:")
     em.emit(f'raise VMRuntimeError(f"no virtual method {name!r} on '
             f'{{{receiver.expr}.rtclass.name}}")', 2)
+    _push_frame(em, target.expr,
+                [receiver.expr] + [e.expr for e in entries], continuation)
+    return target.expr
+
+
+def _push_frame(em: _Emitter, target: str, arg_exprs: list,
+                continuation) -> None:
+    """Flush the caller's virtual stack and push the callee frame."""
     em.flush_and_clear()
-    cont = em.const(instr.continuation)
-    args = ", ".join([receiver.expr] + [e.expr for e in entries])
-    em.emit(f"frames.append(Frame({target.expr}, [{args}], {cont}))")
+    em.uses_frames = True
+    cont = em.const(continuation)
+    em.emit(f"frames.append(Frame({target}, "
+            f"[{', '.join(arg_exprs)}], {cont}))")
+
+
+def _lower_call(em: _Emitter, instr) -> None:
+    """INVOKESTATIC / INVOKESPECIAL: deterministic callee, no guard."""
+    _push_static_frame(em, instr.op, instr.a, instr.b, instr.continuation)
+    em.frame_switch()
+
+
+def _lower_vcall(em: _Emitter, instr, ct: str, exits: str, prefix) -> None:
+    """INVOKEVIRTUAL: vtable dispatch, entry block guarded."""
+    target = _push_virtual_frame(em, instr.a, instr.b, instr.continuation)
     em.frame_switch()
     expected = em.const(instr.expected)
-    em.emit(f"if {target.expr}.entry_block is not {expected}:")
+    em.emit(f"if {target}.entry_block is not {expected}:")
     _side_exit(em, instr, ct, exits, prefix,
-               f"{target.expr}.entry_block", indent=2)
+               f"{target}.entry_block", indent=2)
     em.guard_count += 1
 
 
@@ -518,6 +558,85 @@ def _lower_throw(em: _Emitter, instr, ct: str, exits: str, prefix) -> None:
     em.emit(f"if {handler.expr} is not {expected}:")
     _side_exit(em, instr, ct, exits, prefix, handler.expr, indent=2)
     em.guard_count += 1
+
+
+# ----------------------------------------------------------------------
+# The final block
+
+def _lower_final(em: _Emitter, compiled: CompiledTrace) -> None:
+    """Lower the last trace block with no guard — whatever successor it
+    picks, the trace has completed — and return that successor."""
+    block = compiled.final_block
+    code = block.method.code
+    done = len(compiled.trace.blocks)
+    # The charge and step check `execute_block` makes on entry, folded
+    # with the flattened originals' charge.
+    em.emit(f"machine.instr_count += "
+            f"{compiled.original_instr_count + block.length}")
+    em.emit("if machine.instr_count > machine.max_instructions:")
+    em.emit("raise StepLimitExceeded(", 2)
+    em.emit('    f"exceeded {machine.max_instructions} instructions")', 2)
+
+    kind = block.kind
+    body_end = block.end if kind == KIND_FALL else block.end - 1
+    for index in range(block.start, body_end):
+        _lower_simple(em, code[index])
+
+    term = code[block.end - 1]
+    if kind == KIND_FALL:
+        successor = em.const(block.succ_fall)
+    elif kind == KIND_GOTO:
+        successor = em.const(block.succ_target)
+    elif kind == KIND_COND:
+        cond = _cond_expr(em, term.op)
+        successor = (f"{em.const(block.succ_target)} if {cond} "
+                     f"else {em.const(block.succ_fall)}")
+    elif kind == KIND_SWITCH:
+        successor = _switch_target(em, block, term.a[0])
+    elif kind == KIND_INVOKE:
+        if type(term.a) is NativeMethod:
+            _lower_native(em, term)
+            successor = em.const(block.continuation)
+        elif term.op is Op.INVOKEVIRTUAL:
+            target = _push_virtual_frame(em, term.a, term.b,
+                                         block.continuation)
+            successor = f"{target}.entry_block"
+        else:
+            slot = _push_static_frame(em, term.op, term.a, term.b,
+                                      block.continuation)
+            successor = f"{slot}.entry_block"
+    elif kind == KIND_RETURN:
+        _final_return(em, term.op, done)
+        return
+    elif kind == KIND_THROW:
+        em.need(1)
+        exc = em.pop()
+        successor = f"_throw(machine, {exc.expr}, {block.end - 1})"
+    else:
+        raise LowerError(f"final block kind {kind!r} not lowered")
+    for line in em.flush_lines():
+        em.emit(line)
+    em.emit(f"return {done}, {successor}, True")
+
+
+def _final_return(em: _Emitter, op, done: int) -> None:
+    """Return ending the trace: the entry frame's return ends the
+    program; otherwise the value goes onto the caller's operand stack
+    and the popped frame's return block is the successor."""
+    value = "None"
+    if op is not Op.RETURN:
+        em.need(1)
+        value = em.pop().expr
+    # What else is on the virtual stack belongs to the popped frame.
+    del em.vstack[:]
+    em.uses_frames = True
+    popped = em.temp("frames.pop()")
+    em.emit("if not frames:")
+    em.emit(f"machine.result = {value}", 2)
+    em.emit(f"return {done}, None, True", 2)
+    if op is not Op.RETURN:
+        em.emit(f"frames[-1].stack.append({value})")
+    em.emit(f"return {done}, {popped.expr}.return_block, True")
 
 
 # ----------------------------------------------------------------------

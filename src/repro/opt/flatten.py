@@ -1,9 +1,11 @@
 """Trace flattening: block sequence -> guarded linear IR.
 
-The last trace block is left to the ordinary block executor (its
-successor is unconstrained — the trace is complete either way), so the
-flattened stream covers ``trace.blocks[:-1]``, each internal terminator
-rewritten as described in :mod:`repro.opt.ir`.
+The last trace block needs no guard (its successor is unconstrained —
+the trace is complete either way), so the flattened stream covers
+``trace.blocks[:-1]``, each internal terminator rewritten as described
+in :mod:`repro.opt.ir`.  The last block is kept as
+``CompiledTrace.final_block``; codegen lowers it unguarded, and the
+optimizer's savings count only the flattened blocks.
 """
 
 from __future__ import annotations

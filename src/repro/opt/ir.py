@@ -69,7 +69,7 @@ class CompiledTrace:
 
     trace: object                    # repro.core.trace.Trace
     instrs: list[TraceInstr] = field(default_factory=list)
-    final_block: object = None       # executed via the standard path
+    final_block: object = None       # last block: unguarded, not flattened
     tail_weight: int = 0             # leftover weight before final block
     original_instr_count: int = 0    # flattened originals (excl. final)
     # block_weight_prefix[j] = original instructions in blocks[0:j];

@@ -4,12 +4,25 @@ from __future__ import annotations
 
 from types import SimpleNamespace
 
+import pytest
+
 from repro.core import TraceCacheConfig, TraceController
-from repro.jvm import ThreadedInterpreter
+from repro.core.trace import Trace
+from repro.jvm import (StepLimitExceeded, SwitchInterpreter,
+                       ThreadedInterpreter)
+from repro.jvm.basicblock import (KIND_COND, KIND_FALL, KIND_GOTO,
+                                  KIND_INVOKE, KIND_RETURN, KIND_SWITCH,
+                                  KIND_THROW)
+from repro.jvm.bytecode import Op
+from repro.jvm.intrinsics import NativeMethod
+from repro.jvm.threaded import execute_block
 from repro.lang import compile_source
-from repro.opt import CodeCache, TraceOptimizer, lower
+from repro.opt import CodeCache, TraceOptimizer, lower, run_compiled
 from repro.opt.ir import CompiledTrace, TraceInstr
+from repro.workloads import WORKLOAD_NAMES, load_workload
 from tests.conftest import int_main
+from tests.opt.test_optimized_execution import (dynamic_path, length,
+                                                machine_at)
 
 AGGRESSIVE = dict(start_state_delay=4, decay_period=16)
 
@@ -215,3 +228,176 @@ class TestWrapElision:
         # Java int, so the hot-loop source carries the raw addition.
         assert any("& 255) + (" in src and "wrap_int((" not in src
                    for src in sources)
+
+
+# One program whose run ends blocks in every final-block kind codegen
+# lowers: both conditional arms, goto, fallthrough, both switch arms,
+# static/special/virtual/native calls, void and value returns (and the
+# entry frame's return), and throws caught in the same frame and in a
+# caller.
+ALL_FINAL_KINDS = """
+    class Box {
+        int v;
+        Box(int v) { this.v = v; }
+        int get() { return v; }
+    }
+    class Main {
+        static int total;
+        static void bump(int x) { total = (total + x) & 65535; }
+        static int twice(int x) { return x + x; }
+        static void boom(int i) { if (i % 7 == 0) { throw new Exception(); } }
+        static int main() {
+            int s = 0;
+            for (int i = 0; i < 60; i = i + 1) {
+                if (i % 3 == 0) { s = s + 1; } else { s = s + 2; }
+                switch (i % 5) {
+                    case 0: s = s + 3; break;
+                    case 1: s = s + 4; break;
+                    case 2: s = s + 5; break;
+                    default: s = s - 1;
+                }
+                Box b = new Box(i);
+                s = (s + b.get() + twice(i)) & 65535;
+                bump(s);
+                s = s + Sys.abs(0 - i);
+                Sys.print(s);
+                try { throw new Exception(); } catch (Exception e) { s = s + 1; }
+                try { boom(i); } catch (Exception e) { s = s + 2; }
+            }
+            return s + total;
+        }
+    }
+"""
+
+
+def _term(block):
+    return block.method.code[block.end - 1]
+
+
+def _invokes(op):
+    return lambda b, n: (b.kind == KIND_INVOKE and _term(b).op is op
+                         and type(_term(b).a) is not NativeMethod)
+
+
+# Final-block kind -> predicate on (block, the successor it picked).
+FINAL_KINDS = {
+    "cond-taken": lambda b, n: b.kind == KIND_COND and n is b.succ_target,
+    "cond-not-taken": lambda b, n: b.kind == KIND_COND and n is b.succ_fall,
+    "goto": lambda b, n: b.kind == KIND_GOTO,
+    "fall": lambda b, n: b.kind == KIND_FALL,
+    "switch-in-range": lambda b, n: (b.kind == KIND_SWITCH
+                                     and n is not b.switch_default),
+    "switch-default": lambda b, n: (b.kind == KIND_SWITCH
+                                    and n is b.switch_default),
+    "invokestatic": _invokes(Op.INVOKESTATIC),
+    "invokespecial": _invokes(Op.INVOKESPECIAL),
+    "invokevirtual": _invokes(Op.INVOKEVIRTUAL),
+    "native": lambda b, n: (b.kind == KIND_INVOKE
+                            and type(_term(b).a) is NativeMethod),
+    "void-return": lambda b, n: _term(b).op is Op.RETURN,
+    "value-return": lambda b, n: (_term(b).op is Op.IRETURN
+                                  and n is not None),
+    "program-end": lambda b, n: b.kind == KIND_RETURN and n is None,
+    "throw-same-frame": lambda b, n: (b.kind == KIND_THROW
+                                      and n.method is b.method),
+    "throw-to-caller": lambda b, n: (b.kind == KIND_THROW
+                                     and n.method is not b.method),
+}
+
+
+def _outcome(program, machine):
+    return (machine.result, machine.output, machine.instr_count,
+            program.statics_snapshot())
+
+
+class TestFinalBlock:
+    """The last trace block is lowered into the generated function:
+    no guard, and the successor it picks is returned directly."""
+
+    @pytest.fixture(scope="class")
+    def program(self):
+        return compile_source(ALL_FINAL_KINDS)
+
+    @pytest.fixture(scope="class")
+    def path(self, program):
+        return dynamic_path(program) + [None]
+
+    @pytest.fixture(scope="class")
+    def reference(self, program):
+        return _outcome(program, SwitchInterpreter(program).run())
+
+    @staticmethod
+    def _window(path, kind):
+        """A 3-block trace of `path` whose final block is `kind`."""
+        end = next(j for j in range(2, len(path) - 1)
+                   if FINAL_KINDS[kind](path[j], path[j + 1]))
+        return end - 2, path[end - 2:end + 1]
+
+    @staticmethod
+    def _install(blocks):
+        compiled = TraceOptimizer().get(
+            Trace(tuple(blocks), (), 1.0, serial=0))
+        source = lower(compiled).source
+        return compiled, source, CodeCache().install(compiled)
+
+    @pytest.mark.parametrize("kind", sorted(FINAL_KINDS))
+    def test_kind_matches_interpreter(self, kind, program, path,
+                                      reference):
+        start, blocks = self._window(path, kind)
+        compiled, source, fn = self._install(blocks)
+        assert "execute_block" not in source
+        machine = machine_at(program, path, start)
+        frame = machine.frames[-1]
+        successor = path[start + 3]
+        assert fn(machine, frame, frame.stack, frame.locals) == \
+            (3, successor, True)
+        assert compiled.guard_failures == 0
+        block = successor
+        while block is not None:
+            block = execute_block(machine, block)
+        assert _outcome(program, machine) == reference
+
+    def test_step_limit_inside_final_block(self, program, path):
+        # Any 3-block window whose final block is longer than one
+        # instruction; the limit sits just before that block.
+        start, blocks = next(
+            (j, path[j:j + 3]) for j in range(len(path) - 3)
+            if path[j + 2].length > 1)
+        _, _, fn = self._install(blocks)
+        trace = Trace(tuple(blocks), (), 1.0, serial=0)
+
+        def generated(machine):
+            frame = machine.frames[-1]
+            fn(machine, frame, frame.stack, frame.locals)
+
+        def cold(machine):
+            run_compiled(machine, CompiledTrace(trace=trace))
+
+        counts = []
+        for run in (generated, cold):
+            machine = machine_at(program, path, start)
+            limit = machine.instr_count + length(blocks[:2])
+            machine.max_instructions = limit
+            with pytest.raises(StepLimitExceeded):
+                run(machine)
+            counts.append(machine.instr_count)
+        assert counts == [limit + blocks[2].length] * 2
+
+    def test_whole_run_matches_interpreter(self, program, reference):
+        controller, result = run_py(ALL_FINAL_KINDS)
+        assert _outcome(controller.program, result.machine) == reference
+        sources = list(controller.optimizer.codecache._code)
+        assert sources
+        assert not any("execute_block" in src for src in sources)
+
+    @pytest.mark.parametrize("name", WORKLOAD_NAMES)
+    def test_no_interpreted_tail_on_workloads(self, name):
+        controller = TraceController(
+            load_workload(name, "tiny"),
+            TraceCacheConfig(optimize_traces=True))
+        result = controller.run()
+        assert result.stats.codegen_uncompilable == 0
+        compiled = list(controller.optimizer.compiled.values())
+        assert compiled
+        for record in compiled:
+            assert "execute_block" not in lower(record).source
